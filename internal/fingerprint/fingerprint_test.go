@@ -258,6 +258,49 @@ func TestInvariantUnderSQLRespelling(t *testing.T) {
 	}
 }
 
+// TestInvariantUnderConstantFilterOrder swaps two constant filters of one
+// equivalence class. The implied filter on the class's third column must not
+// depend on which constant the query lists first, so both spellings share a
+// fingerprint and their canonical blocks estimate alike.
+func TestInvariantUnderConstantFilterOrder(t *testing.T) {
+	cat := catalog.TPCH(1, 1)
+	const head = `SELECT o.o_orderkey FROM orders o, customer c, orders o2
+		WHERE o.o_custkey = c.c_custkey AND o2.o_custkey = c.c_custkey`
+	variants := []string{
+		head + ` AND o.o_custkey = 5 AND c.c_custkey = 7`,
+		head + ` AND c.c_custkey = 7 AND o.o_custkey = 5`,
+	}
+	var fps []fingerprint.FP
+	var ests []*core.Estimate
+	for i, sql := range variants {
+		blk, err := sqlparser.Parse(sql, cat)
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		canon, fp, err := fingerprint.Canonical(blk)
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		if of := fingerprint.Of(blk); of != fp {
+			t.Fatalf("variant %d: Of %s differs from Canonical's %s", i, of, fp)
+		}
+		est, err := core.EstimatePlans(canon, core.Options{Level: opt.LevelHigh})
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		fps = append(fps, fp)
+		ests = append(ests, est)
+	}
+	if fps[1] != fps[0] {
+		t.Errorf("swapped filters: fingerprint %s differs from %s", fps[1], fps[0])
+	}
+	a, b := ests[0], ests[1]
+	if a.Counts != b.Counts || a.Joins != b.Joins || a.MeasuredPeakBytes != b.MeasuredPeakBytes {
+		t.Errorf("swapped filters: canonical estimate %v/%d joins/%d B, want %v/%d joins/%d B",
+			b.Counts, b.Joins, b.MeasuredPeakBytes, a.Counts, a.Joins, a.MeasuredPeakBytes)
+	}
+}
+
 // TestDistinguishesStructure checks the collision side: every structural
 // edit that changes what the enumerator would do must change the
 // fingerprint. All variants must be pairwise distinct.

@@ -1,6 +1,7 @@
 package props
 
 import (
+	"math/bits"
 	"sync"
 
 	"cote/internal/bitset"
@@ -53,8 +54,15 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 // universe.
 type Scope struct {
 	blk *query.Block
-	// eqPreds holds indexes of equality join predicates.
-	eqPreds []int
+	// eq is the predicate-incidence index: the block's equality join
+	// predicates in JoinPreds order, and, per table, a mask over eq of the
+	// predicates touching it (words uint64s per table, table t's mask at
+	// incident[t*words:(t+1)*words]). Per-join questions OR the masks of
+	// one side's tables and visit only the set bits, in ascending order,
+	// so they see the same predicates in the same order as a scan of eq.
+	eq       []eqPred
+	words    int
+	incident []uint64
 	// shared marks a scope about to be used from several goroutines (the
 	// parallel DP round); it routes fjCache accesses through fjMu. Single-
 	// goroutine users — the whole estimation path and serial compiles —
@@ -79,13 +87,40 @@ func NewScope(blk *query.Block) *Scope {
 	sc := &Scope{
 		blk:     blk,
 		fjCache: make(map[bitset.Set][]query.ColID),
+		eq:      make([]eqPred, 0, len(blk.JoinPreds)),
 	}
-	for i, p := range blk.JoinPreds {
+	for _, p := range blk.JoinPreds {
 		if p.Op == query.Eq {
-			sc.eqPreds = append(sc.eqPreds, i)
+			sc.eq = append(sc.eq, eqPred{
+				left: p.Left, right: p.Right,
+				lt: bitset.Single(blk.TableOf(p.Left)), rt: bitset.Single(blk.TableOf(p.Right)),
+			})
+		}
+	}
+	sc.words = (len(sc.eq) + 63) / 64
+	sc.incident = make([]uint64, len(blk.Tables)*sc.words)
+	for i, p := range sc.eq {
+		for _, t := range [2]int{p.lt.Min(), p.rt.Min()} {
+			sc.incident[t*sc.words+i/64] |= 1 << uint(i%64)
 		}
 	}
 	return sc
+}
+
+// eqPred is one equality join predicate with the tables owning its columns.
+type eqPred struct {
+	left, right query.ColID
+	lt, rt      bitset.Set
+}
+
+// incidentWord returns word w of the mask of equality predicates touching
+// any table of s.
+func (sc *Scope) incidentWord(s bitset.Set, w int) uint64 {
+	var m uint64
+	for u := uint64(s); u != 0; u &= u - 1 {
+		m |= sc.incident[bits.TrailingZeros64(u)*sc.words+w]
+	}
+	return m
 }
 
 // Block returns the underlying query block.
@@ -114,14 +149,15 @@ func (sc *Scope) futureJoinCols(s bitset.Set) []query.ColID {
 		return cols
 	}
 	out := []query.ColID{}
-	for _, i := range sc.eqPreds {
-		p := sc.blk.JoinPreds[i]
-		lt, rt := sc.blk.TableOf(p.Left), sc.blk.TableOf(p.Right)
-		switch {
-		case s.Contains(lt) && !s.Contains(rt):
-			out = append(out, p.Left)
-		case s.Contains(rt) && !s.Contains(lt):
-			out = append(out, p.Right)
+	for w := 0; w < sc.words; w++ {
+		for m := sc.incidentWord(s, w); m != 0; m &= m - 1 {
+			p := &sc.eq[w*64+bits.TrailingZeros64(m)]
+			switch {
+			case !p.rt.Overlaps(s):
+				out = append(out, p.left)
+			case !p.lt.Overlaps(s):
+				out = append(out, p.right)
+			}
 		}
 	}
 	if sc.shared {
@@ -257,16 +293,16 @@ func PipelinePropagation(m JoinMethod) Propagation {
 // in Simmen et al. and reused by the paper (DB2 experience item 1).
 func (sc *Scope) EagerBaseOrders(t int, eq *query.Equiv) []Order {
 	blk := sc.blk
+	ts := bitset.Single(t)
 	var list OrderList
 
 	// Single-column orders on each equality join column of t.
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
-		if blk.TableOf(p.Left) == t {
-			list.Add(OrderOn(p.Left), eq)
+	for _, p := range sc.eq {
+		if p.lt == ts {
+			list.Add(OrderOn(p.left), eq)
 		}
-		if blk.TableOf(p.Right) == t {
-			list.Add(OrderOn(p.Right), eq)
+		if p.rt == ts {
+			list.Add(OrderOn(p.right), eq)
 		}
 	}
 
@@ -274,15 +310,14 @@ func (sc *Scope) EagerBaseOrders(t int, eq *query.Equiv) []Order {
 	// table, in predicate order — the sort a multi-column merge join needs.
 	perPeer := map[int][]query.ColID{}
 	var peers []int
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
+	for _, p := range sc.eq {
 		var mine query.ColID
 		var peer int
 		switch {
-		case blk.TableOf(p.Left) == t:
-			mine, peer = p.Left, blk.TableOf(p.Right)
-		case blk.TableOf(p.Right) == t:
-			mine, peer = p.Right, blk.TableOf(p.Left)
+		case p.lt == ts:
+			mine, peer = p.left, p.rt.Min()
+		case p.rt == ts:
+			mine, peer = p.right, p.lt.Min()
 		default:
 			continue
 		}
@@ -382,17 +417,22 @@ func (sc *Scope) JoinColsBetween(outer, inner bitset.Set) (outerCols, innerCols 
 // where the column pairs are consumed within the call and the buffers are
 // reused join over join.
 func (sc *Scope) AppendJoinColsBetween(outer, inner bitset.Set, outerCols, innerCols []query.ColID) ([]query.ColID, []query.ColID) {
-	blk := sc.blk
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
-		lt, rt := blk.TableOf(p.Left), blk.TableOf(p.Right)
-		switch {
-		case outer.Contains(lt) && inner.Contains(rt):
-			outerCols = append(outerCols, p.Left)
-			innerCols = append(innerCols, p.Right)
-		case outer.Contains(rt) && inner.Contains(lt):
-			outerCols = append(outerCols, p.Right)
-			innerCols = append(innerCols, p.Left)
+	// Every predicate linking the two sides touches the smaller one.
+	side := outer
+	if inner.Len() < outer.Len() {
+		side = inner
+	}
+	for w := 0; w < sc.words; w++ {
+		for m := sc.incidentWord(side, w); m != 0; m &= m - 1 {
+			p := &sc.eq[w*64+bits.TrailingZeros64(m)]
+			switch {
+			case p.lt.Overlaps(outer) && p.rt.Overlaps(inner):
+				outerCols = append(outerCols, p.left)
+				innerCols = append(innerCols, p.right)
+			case p.rt.Overlaps(outer) && p.lt.Overlaps(inner):
+				outerCols = append(outerCols, p.right)
+				innerCols = append(innerCols, p.left)
+			}
 		}
 	}
 	return outerCols, innerCols

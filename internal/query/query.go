@@ -376,7 +376,10 @@ func (b *Block) transitiveClosure() {
 			}
 		}
 		// Implied local equality predicates: a = const propagates to every
-		// class member that lacks one.
+		// class member that lacks one, with the selectivity of the class's
+		// most selective explicit constant — so the result (and with it the
+		// fingerprint) does not depend on the order the conjuncts were
+		// written in.
 		var src *LocalPred
 		withEq := map[ColID]bool{}
 		for i := range b.LocalPreds {
@@ -387,7 +390,7 @@ func (b *Block) transitiveClosure() {
 			for _, m := range members {
 				if lp.Col == m {
 					withEq[m] = true
-					if src == nil {
+					if src == nil || lp.Selectivity < src.Selectivity {
 						src = lp
 					}
 				}
