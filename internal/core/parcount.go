@@ -16,10 +16,9 @@
 // order-independent, so PlanCounts, property lists, enumeration statistics
 // and the MEMO's durable accounting are bit-identical to the serial pass at
 // every parallelism degree — the same guarantee the determinism suite pins
-// for optimization. Workers never touch the scope's future-join-column
-// memo (counting goes through mergeOutsScratch and candidateParts, neither
-// of which calls OrderUseful), and the property interner takes its own
-// lock, so the scope needs no MarkShared switch for estimation.
+// for optimization. The scope is immutable and each entry's Equiv (its
+// classes and future-join columns) is built before any worker reads it, and
+// the property interner takes its own lock, so workers share both freely.
 package core
 
 import (

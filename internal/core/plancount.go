@@ -124,6 +124,9 @@ type counter struct {
 	outsBuf      []props.Order
 	emitted      props.OrderList
 	plistBuf     props.PartitionList
+	// partBuf backs candidateParts' one-element answer when no input
+	// partition qualifies.
+	partBuf [1]props.Partition
 }
 
 func newCounter(blk *query.Block, sc *props.Scope, nodes int, policy props.GenerationPolicy, mode ListMode, everyJoin bool) *counter {
@@ -169,7 +172,7 @@ func (c *counter) initialize(e *memo.Entry) {
 		orders = c.sc.EagerBaseOrders(t, e.Equiv)
 	} else {
 		for _, o := range c.sc.NaturalBaseOrders(t, e.Equiv) {
-			if c.sc.OrderUseful(o, e.Tables, e.Equiv) {
+			if c.sc.OrderUseful(o, e.Equiv) {
 				orders = append(orders, o)
 			}
 		}
@@ -230,7 +233,7 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 	outs := c.mergeOutsInterned(outerCols)
 	addUseful := func(orders []props.Order) {
 		for _, o := range orders {
-			if c.sc.OrderUseful(o, result.Tables, result.Equiv) {
+			if c.sc.OrderUseful(o, result.Equiv) {
 				result.Orders.Add(o, result.Equiv)
 			}
 		}
@@ -323,7 +326,8 @@ var serialParts = []props.Partition{{}}
 // the interesting-partition lists: input partitions covered by the join
 // columns, or a repartition on the join columns when none qualifies (the
 // heuristic of Section 4). Serial estimation uses the single don't-care
-// partition.
+// partition. The result is counter scratch, valid until the next call: the
+// parallel pass's driver recomputes it before it propagates.
 func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, innerCols []query.ColID) []props.Partition {
 	if !c.parallel {
 		return serialParts
@@ -340,12 +344,13 @@ func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, in
 		}
 	}
 	if list.Len() == 0 {
+		c.partBuf[0] = props.Partition{}
 		if len(outerCols) > 0 {
 			// Interned: the repartition may be stored in the result's
 			// interesting lists, which outlive the scratch outerCols.
-			return []props.Partition{c.sc.Intern().Partition(c.nodes, outerCols)}
+			c.partBuf[0] = c.sc.Intern().Partition(c.nodes, outerCols)
 		}
-		return []props.Partition{{}}
+		return c.partBuf[:]
 	}
 	return list.Partitions()
 }
@@ -368,7 +373,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 			if v.o.Empty() {
 				continue // the (DC, pp) vector is already present
 			}
-			oUseful := c.sc.OrderUseful(v.o, result.Tables, result.Equiv)
+			oUseful := c.sc.OrderUseful(v.o, result.Equiv)
 			pAlive := c.parallel && !pp.Empty()
 			if !oUseful && !pAlive {
 				continue // every component retired: the vector retires
@@ -379,7 +384,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 			add(propVec{v.o, pp})
 		}
 		for _, o := range mergeOrders {
-			if c.sc.OrderUseful(o, result.Tables, result.Equiv) {
+			if c.sc.OrderUseful(o, result.Equiv) {
 				add(propVec{o, pp})
 			}
 		}

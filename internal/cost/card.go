@@ -166,9 +166,7 @@ func (e *Estimator) JoinCard(s, l bitset.Set) float64 {
 		return c
 	}
 	card := e.Card(s) * e.Card(l)
-	for _, pi := range e.blk.PredsBetween(s, l) {
-		card *= e.joinSel[pi]
-	}
+	e.blk.PredsBetween(s, l, func(pi int) { card *= e.joinSel[pi] })
 	if card < 0.01 {
 		card = 0.01
 	}
@@ -188,9 +186,7 @@ func (e *Estimator) Card(s bitset.Set) float64 {
 	for t := s.Next(0); t >= 0; t = s.Next(t + 1) {
 		card *= e.filtered[t]
 	}
-	for _, pi := range e.blk.PredsWithin(s) {
-		card *= e.joinSel[pi]
-	}
+	e.blk.PredsWithin(s, func(pi int) { card *= e.joinSel[pi] })
 	if e.mode == Full {
 		card = e.keyCap(s, card)
 	}
@@ -210,10 +206,10 @@ func (e *Estimator) keyCap(s bitset.Set, card float64) float64 {
 		return card
 	}
 	blk := e.blk
-	for _, pi := range blk.PredsWithin(s) {
+	blk.PredsWithin(s, func(pi int) {
 		jp := blk.JoinPreds[pi]
 		if jp.Op != query.Eq {
-			continue
+			return
 		}
 		for _, side := range []query.ColID{jp.Left, jp.Right} {
 			if !e.isUniqueKey(side) {
@@ -228,7 +224,7 @@ func (e *Estimator) keyCap(s bitset.Set, card float64) float64 {
 				card = bound
 			}
 		}
-	}
+	})
 	return card
 }
 

@@ -129,12 +129,9 @@ func bestJoin(blk *query.Block, card *cost.Estimator, cfg *cost.Config, cur, rig
 	outCard := card.Card(union)
 	var best *memo.Plan
 	hasEq := false
-	for _, pi := range blk.PredsBetween(cur.Tables, right.Tables) {
-		if blk.JoinPreds[pi].Op == query.Eq {
-			hasEq = true
-			break
-		}
-	}
+	blk.PredsBetween(cur.Tables, right.Tables, func(pi int) {
+		hasEq = hasEq || blk.JoinPreds[pi].Op == query.Eq
+	})
 	if hasEq {
 		*considered++
 		best = &memo.Plan{

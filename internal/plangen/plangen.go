@@ -604,7 +604,7 @@ func (g *Generator) propagateOrder(po *memo.Plan, result *memo.Entry) props.Orde
 	if po.Order.Empty() {
 		return props.Order{}
 	}
-	if g.sc.OrderUseful(po.Order, result.Tables, result.Equiv) {
+	if g.sc.OrderUseful(po.Order, result.Equiv) {
 		return po.Order
 	}
 	if g.parallel && !po.Part.Empty() {
@@ -615,7 +615,7 @@ func (g *Generator) propagateOrder(po *memo.Plan, result *memo.Entry) props.Orde
 
 // retireOrDeliver returns o if still interesting at the result, else DC.
 func (g *Generator) retireOrDeliver(o props.Order, result *memo.Entry) props.Order {
-	if g.sc.OrderUseful(o, result.Tables, result.Equiv) {
+	if g.sc.OrderUseful(o, result.Equiv) {
 		return o
 	}
 	return props.Order{}
@@ -663,7 +663,7 @@ func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *
 			}
 		}
 	}
-	if !order.Empty() && !g.sc.OrderUseful(order, result.Tables, result.Equiv) {
+	if !order.Empty() && !g.sc.OrderUseful(order, result.Equiv) {
 		p.OrderKnownRetired = true
 	}
 	if g.sink != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cote/internal/bitset"
+	"cote/internal/catalog"
 	"cote/internal/query"
 	"cote/internal/workload"
 )
@@ -30,7 +31,7 @@ func naiveJoinColsBetween(blk *query.Block, outer, inner bitset.Set) (outerCols,
 	return outerCols, innerCols
 }
 
-// naiveFutureJoinCols is the full-scan form of Scope.futureJoinCols.
+// naiveFutureJoinCols is the full-scan form of Equiv.FutureJoinCols.
 func naiveFutureJoinCols(blk *query.Block, s bitset.Set) []query.ColID {
 	var out []query.ColID
 	for _, p := range blk.JoinPreds {
@@ -46,6 +47,30 @@ func naiveFutureJoinCols(blk *query.Block, s bitset.Set) []query.ColID {
 		}
 	}
 	return out
+}
+
+// naiveClasses labels every column of blk with the smallest column id of
+// its equivalence class under the equality predicates applied within s. It
+// is a deliberately naive union-find: each pass over the predicates merges
+// the two ends' labels, until a pass changes nothing.
+func naiveClasses(blk *query.Block, s bitset.Set) []query.ColID {
+	label := make([]query.ColID, len(blk.Columns))
+	for i := range label {
+		label[i] = query.ColID(i)
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, p := range blk.JoinPreds {
+			if p.Op != query.Eq || !s.Contains(blk.TableOf(p.Left)) || !s.Contains(blk.TableOf(p.Right)) {
+				continue
+			}
+			if l, r := label[p.Left], label[p.Right]; l != r {
+				label[p.Left], label[p.Right] = min(l, r), min(l, r)
+				changed = true
+			}
+		}
+	}
+	return label
 }
 
 // connectedSubsets lists the non-empty table sets of blk whose induced join
@@ -82,24 +107,52 @@ func differentialBlocks(t *testing.T) []*query.Block {
 	return blks
 }
 
+// thetaBlock is a four-table cycle mixing equality and non-equality join
+// predicates. The workloads join on equality only, so without it nothing
+// would check that the other operators stay out of the classes and the
+// future-join columns. Its c1 predicates come in an order that first builds
+// two two-column classes and then merges them, which leaves a column two
+// parent links from its root before Equiv flattens.
+func thetaBlock(t *testing.T) *query.Block {
+	t.Helper()
+	cb := catalog.NewBuilder("theta")
+	for _, name := range []string{"a", "b", "c", "d"} {
+		cb.Table(name, 1000).Column("c1", 100).Column("c2", 100)
+	}
+	qb := query.NewBuilder("theta", cb.Build())
+	for _, name := range []string{"a", "b", "c", "d"} {
+		qb.AddTable(name, "")
+	}
+	qb.JoinEq("a", "c1", "b", "c1")
+	qb.Join(qb.Col("b", "c2"), qb.Col("c", "c2"), query.Lt)
+	qb.JoinEq("c", "c1", "d", "c1")
+	qb.JoinEq("b", "c1", "c", "c1")
+	qb.Join(qb.Col("d", "c2"), qb.Col("a", "c2"), query.Ne)
+	qb.JoinEq("b", "c2", "d", "c2")
+	return qb.MustBuild()
+}
+
 // TestIncidenceIndexMatchesNaiveScan checks that the indexed
-// AppendJoinColsBetween and futureJoinCols return exactly what a scan of
-// every equality predicate returns, element for element and in the same
-// order, for every disjoint pair of connected table sets in both
-// orientations. The plan counts depend on that order: merge-join orders are
-// built from the column lists as returned.
+// AppendJoinColsBetween and the per-set Equiv's FutureJoinCols return
+// exactly what a scan of every equality predicate returns, element for
+// element and in the same order, for every disjoint pair of connected table
+// sets in both orientations. The plan counts depend on that order:
+// merge-join orders are built from the column lists as returned. It also
+// checks the Equiv's classes against naiveClasses over every column pair.
 func TestIncidenceIndexMatchesNaiveScan(t *testing.T) {
 	maxEq := 0
-	for _, blk := range differentialBlocks(t) {
+	for _, blk := range append(differentialBlocks(t), thetaBlock(t)) {
 		sc := NewScope(blk)
 		maxEq = max(maxEq, len(sc.eq))
 		subsets := connectedSubsets(blk)
 		var oc, ic []query.ColID
 		for _, outer := range subsets {
+			eq := blk.EquivWithin(outer)
 			want := naiveFutureJoinCols(blk, outer)
-			if got := sc.futureJoinCols(outer); !slices.Equal(got, want) {
-				t.Fatalf("%s: futureJoinCols(%v) = %v, want %v", blk.Name, outer, got, want)
+			if got := eq.FutureJoinCols(); !slices.Equal(got, want) {
+				t.Fatalf("%s: FutureJoinCols(%v) = %v, want %v", blk.Name, outer, got, want)
 			}
+			checkClasses(t, blk, outer, eq)
 			for _, inner := range subsets {
 				if outer.Overlaps(inner) {
 					continue
@@ -117,6 +170,28 @@ func TestIncidenceIndexMatchesNaiveScan(t *testing.T) {
 	// predicates, so the per-table masks span two words.
 	if maxEq <= 64 {
 		t.Fatalf("largest block has %d equality predicates; want one over 64 to exercise multi-word masks", maxEq)
+	}
+}
+
+// checkClasses asserts that eq partitions the columns of blk exactly as
+// naiveClasses does for s, and that every representative lies in its
+// column's class and is shared by the whole class.
+func checkClasses(t *testing.T, blk *query.Block, s bitset.Set, eq *query.Equiv) {
+	t.Helper()
+	label := naiveClasses(blk, s)
+	for a := range label {
+		ca := query.ColID(a)
+		if r := eq.Rep(ca); label[r] != label[a] {
+			t.Fatalf("%s: Rep(%d) = %d within %v, outside its class", blk.Name, a, r, s)
+		}
+		for b := range label {
+			cb := query.ColID(b)
+			if got, want := eq.Same(ca, cb), label[a] == label[b]; got != want {
+				t.Fatalf("%s: Same(%d, %d) within %v = %t, want %t", blk.Name, a, b, s, got, want)
+			} else if want && eq.Rep(ca) != eq.Rep(cb) {
+				t.Fatalf("%s: Rep(%d) = %d but Rep(%d) = %d within %v", blk.Name, a, eq.Rep(ca), b, eq.Rep(cb), s)
+			}
+		}
 	}
 }
 

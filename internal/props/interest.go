@@ -2,7 +2,6 @@ package props
 
 import (
 	"math/bits"
-	"sync"
 
 	"cote/internal/bitset"
 	"cote/internal/catalog"
@@ -48,10 +47,10 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 
 // Scope answers interest and retirement questions for one query block and
 // generates the initial interesting-property lists of base tables. It is
-// logically immutable after construction (internal memoization is
-// goroutine-safe) and shared by the real optimizer, the estimator, and all
-// workers of the parallel DP round, so every party sees the same property
-// universe.
+// immutable after construction (the interner takes its own lock) and shared
+// by the real optimizer, the estimator, and all workers of the parallel DP
+// round, so every party sees the same property universe. Per-set answers
+// (equivalence, future-join columns) live on each MEMO entry's Equiv.
 type Scope struct {
 	blk *query.Block
 	// eq is the predicate-incidence index: the block's equality join
@@ -63,19 +62,6 @@ type Scope struct {
 	eq       []eqPred
 	words    int
 	incident []uint64
-	// shared marks a scope about to be used from several goroutines (the
-	// parallel DP round); it routes fjCache accesses through fjMu. Single-
-	// goroutine users — the whole estimation path and serial compiles —
-	// skip the lock: OrderUseful sits under every generated plan, and even
-	// an uncontended RWMutex is measurable there. Set once, before any
-	// worker goroutine exists.
-	shared bool
-	// fjMu guards fjCache when shared: the parallel DP round asks interest
-	// questions from several workers at once.
-	fjMu sync.RWMutex
-	// fjCache memoizes futureJoinCols per table set; interest questions are
-	// asked many times per MEMO entry on hot paths of both modes.
-	fjCache map[bitset.Set][]query.ColID
 	// intern canonicalizes the property values this block's plans carry.
 	// Embedded by value (its maps grow lazily), so scopes that never intern
 	// — the whole estimation path — pay nothing for it.
@@ -85,9 +71,8 @@ type Scope struct {
 // NewScope builds the interest analyzer for a finalized block.
 func NewScope(blk *query.Block) *Scope {
 	sc := &Scope{
-		blk:     blk,
-		fjCache: make(map[bitset.Set][]query.ColID),
-		eq:      make([]eqPred, 0, len(blk.JoinPreds)),
+		blk: blk,
+		eq:  make([]eqPred, 0, len(blk.JoinPreds)),
 	}
 	for _, p := range blk.JoinPreds {
 		if p.Op == query.Eq {
@@ -129,56 +114,16 @@ func (sc *Scope) Block() *query.Block { return sc.blk }
 // Intern returns the scope's property interner.
 func (sc *Scope) Intern() *Interner { return &sc.intern }
 
-// MarkShared switches the scope's internal memoization to its locked mode.
-// It must be called before the scope is handed to concurrent workers and
-// cannot be undone.
-func (sc *Scope) MarkShared() { sc.shared = true }
-
-// futureJoinCols returns the columns inside s that participate in equality
-// join predicates crossing the boundary of s — the columns a future merge
-// join or co-located parallel join could exploit.
-func (sc *Scope) futureJoinCols(s bitset.Set) []query.ColID {
-	if sc.shared {
-		sc.fjMu.RLock()
-		cols, ok := sc.fjCache[s]
-		sc.fjMu.RUnlock()
-		if ok {
-			return cols
-		}
-	} else if cols, ok := sc.fjCache[s]; ok {
-		return cols
-	}
-	out := []query.ColID{}
-	for w := 0; w < sc.words; w++ {
-		for m := sc.incidentWord(s, w); m != 0; m &= m - 1 {
-			p := &sc.eq[w*64+bits.TrailingZeros64(m)]
-			switch {
-			case !p.rt.Overlaps(s):
-				out = append(out, p.left)
-			case !p.lt.Overlaps(s):
-				out = append(out, p.right)
-			}
-		}
-	}
-	if sc.shared {
-		sc.fjMu.Lock()
-		sc.fjCache[s] = out
-		sc.fjMu.Unlock()
-	} else {
-		sc.fjCache[s] = out
-	}
-	return out
-}
-
-// OrderInterest classifies the interest of order o at table set s under the
-// given equivalence. The zero Interest means o has retired at s.
-func (sc *Scope) OrderInterest(o Order, s bitset.Set, eq *query.Equiv) Interest {
+// OrderInterest classifies the interest of order o at the table set whose
+// equivalence (and future-join columns) eq is. The zero Interest means o
+// has retired there.
+func (sc *Scope) OrderInterest(o Order, eq *query.Equiv) Interest {
 	var in Interest
 	if o.Empty() {
 		return in
 	}
-	// Future join: the leading column feeds a join predicate out of s.
-	for _, c := range sc.futureJoinCols(s) {
+	// Future join: the leading column feeds a join predicate out of the set.
+	for _, c := range eq.FutureJoinCols() {
 		if eq.Same(o.Cols[0], c) {
 			in.FutureJoin = true
 			break
@@ -213,21 +158,22 @@ func (sc *Scope) OrderInterest(o Order, s bitset.Set, eq *query.Equiv) Interest 
 	return in
 }
 
-// OrderUseful reports whether o is still interesting (not retired) at s.
-func (sc *Scope) OrderUseful(o Order, s bitset.Set, eq *query.Equiv) bool {
-	return sc.OrderInterest(o, s, eq).Any()
+// OrderUseful reports whether o is still interesting (not retired) at the
+// table set of eq.
+func (sc *Scope) OrderUseful(o Order, eq *query.Equiv) bool {
+	return sc.OrderInterest(o, eq).Any()
 }
 
-// PartitionUseful reports whether partition p is still interesting at s: its
-// keys all feed future equality joins, or they are a subset of the grouping
-// columns (local aggregation). Hash partitions do not help ORDER BY (a
-// range partition would; we model hash only, as the paper's Table 1 notes
-// the distinction).
-func (sc *Scope) PartitionUseful(p Partition, s bitset.Set, eq *query.Equiv) bool {
+// PartitionUseful reports whether partition p is still interesting at the
+// table set of eq: its keys all feed future equality joins, or they are a
+// subset of the grouping columns (local aggregation). Hash partitions do
+// not help ORDER BY (a range partition would; we model hash only, as the
+// paper's Table 1 notes the distinction).
+func (sc *Scope) PartitionUseful(p Partition, eq *query.Equiv) bool {
 	if p.Empty() {
 		return false
 	}
-	if p.CoversJoinCols(sc.futureJoinCols(s), eq) {
+	if p.CoversJoinCols(eq.FutureJoinCols(), eq) {
 		return true
 	}
 	if gb := sc.blk.GroupBy; len(gb) > 0 {

@@ -316,7 +316,7 @@ func (b *Block) defaultSelectivities() {
 // the behaviour of commercial optimizers that the paper points to as a
 // source of cycles in real join graphs.
 func (b *Block) transitiveClosure() {
-	uf := newUnionFind(len(b.Columns))
+	uf := newUnionFind(len(b.Columns), 0)
 	for _, p := range b.JoinPreds {
 		if p.Op == Eq {
 			uf.union(int(p.Left), int(p.Right))
@@ -452,29 +452,27 @@ func (b *Block) Connects(s, l bitset.Set) bool {
 	return b.Neighbors(s).Overlaps(l)
 }
 
-// PredsBetween returns the indexes (into JoinPreds) of all predicates with
-// one column in s and the other in l.
-func (b *Block) PredsBetween(s, l bitset.Set) []int {
-	var out []int
+// PredsBetween calls visit with the index (into JoinPreds) of every
+// predicate with one column in s and the other in l, table pair by table
+// pair in ascending order, building no slice.
+func (b *Block) PredsBetween(s, l bitset.Set, visit func(pi int)) {
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		for j := l.Next(0); j >= 0; j = l.Next(j + 1) {
-			out = append(out, b.predsByPair[pairKey(i, j)]...)
+			for _, pi := range b.predsByPair[pairKey(i, j)] {
+				visit(pi)
+			}
 		}
 	}
-	return out
 }
 
-// PredsWithin returns the indexes of all join predicates whose two sides are
-// both inside s.
-func (b *Block) PredsWithin(s bitset.Set) []int {
-	var out []int
-	for i := range b.JoinPreds {
-		t := b.predTabs[i]
+// PredsWithin calls visit with the index of every join predicate whose two
+// sides are both inside s, in ascending order.
+func (b *Block) PredsWithin(s bitset.Set, visit func(pi int)) {
+	for i, t := range b.predTabs {
 		if s.Contains(t[0]) && s.Contains(t[1]) {
-			out = append(out, i)
+			visit(i)
 		}
 	}
-	return out
 }
 
 // IsConnected reports whether the induced join graph on s is connected.
@@ -493,44 +491,31 @@ func (b *Block) IsConnected(s bitset.Set) bool {
 	return reached == s
 }
 
-// unionFind is a minimal union-find over column ids used by the transitive
-// closure and the per-entry equivalence classes. find performs no path
-// compression, so a fully built instance can be read from many goroutines
-// at once (the parallel DP round shares one Equiv per MEMO entry across its
-// workers); callers that are done with unions call flatten once to make
-// every subsequent find O(1). Dropping the rank array halves the allocation
-// on the MEMO hot path, where one instance is built per entry.
-type unionFind struct {
-	parent []int32
-}
+// unionFind is a minimal union-find over column ids, stored as a bare parent
+// array. The transitive closure uses one; EquivWithin runs its unions
+// directly on the Equiv's representative array, so a MEMO entry pays for no
+// separate union-find. find performs no path compression.
+type unionFind []ColID
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n)}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
+// newUnionFind returns n singleton classes, with capacity for spare more.
+func newUnionFind(n, spare int) unionFind {
+	u := make(unionFind, n, n+spare)
+	for i := range u {
+		u[i] = ColID(i)
 	}
-	return uf
+	return u
 }
 
-func (u *unionFind) find(x int) int {
-	for int(u.parent[x]) != x {
-		x = int(u.parent[x])
+func (u unionFind) find(x int) int {
+	for int(u[x]) != x {
+		x = int(u[x])
 	}
 	return x
 }
 
-func (u *unionFind) union(a, b int) {
+func (u unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
-		u.parent[rb] = int32(ra)
-	}
-}
-
-// flatten points every element directly at its root. Roots are unchanged,
-// so representatives stay stable; the structure becomes immutable (and
-// therefore safe to share across goroutines) until the next union.
-func (u *unionFind) flatten() {
-	for i := range u.parent {
-		u.parent[i] = int32(u.find(i))
+		u[rb] = ColID(ra)
 	}
 }

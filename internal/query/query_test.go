@@ -177,13 +177,18 @@ func TestJoinGraphHelpers(t *testing.T) {
 	if !blk.IsConnected(bitset.Of(0, 1, 2)) || blk.IsConnected(bitset.Of(0, 2)) {
 		t.Fatal("IsConnected wrong")
 	}
-	if got := len(blk.PredsBetween(bitset.Of(0), bitset.Of(1))); got != 1 {
+	count := func(each func(visit func(int))) int {
+		n := 0
+		each(func(int) { n++ })
+		return n
+	}
+	if got := count(func(v func(int)) { blk.PredsBetween(bitset.Of(0), bitset.Of(1), v) }); got != 1 {
 		t.Fatalf("PredsBetween(a,b) = %d preds", got)
 	}
-	if got := len(blk.PredsWithin(bitset.Of(0, 1, 2))); got != 2 {
+	if got := count(func(v func(int)) { blk.PredsWithin(bitset.Of(0, 1, 2), v) }); got != 2 {
 		t.Fatalf("PredsWithin(abc) = %d preds", got)
 	}
-	if got := len(blk.PredsWithin(bitset.Of(0, 2))); got != 0 {
+	if got := count(func(v func(int)) { blk.PredsWithin(bitset.Of(0, 2), v) }); got != 0 {
 		t.Fatalf("PredsWithin(ac) = %d preds", got)
 	}
 }
