@@ -25,12 +25,6 @@ type Options struct {
 	Level opt.Level
 	// Config selects serial or parallel (nil = serial).
 	Config *cost.Config
-	// Parallelism fans the counting pass out to this many workers per size
-	// class (floored at 1 = serial). The estimate is bit-identical at every
-	// degree — counting runs on workers over immutable smaller entries,
-	// property propagation replays on the driver in canonical order — so
-	// the knob only trades wall time for cores, never results.
-	Parallelism int
 	// OrderPolicy is the order generation policy (default eager).
 	OrderPolicy props.GenerationPolicy
 	// ListMode selects separate vs compound property lists (Section 3.4).
@@ -113,7 +107,7 @@ type Estimate struct {
 	PredictedPeakBytes int64
 	// MeasuredPeakBytes totals the durable bytes the estimation run's own
 	// MEMOs were charged — the estimator's measured counterpart, bit-stable
-	// across pool states and parallelism.
+	// across pool states.
 	MeasuredPeakBytes int64
 }
 
@@ -223,15 +217,7 @@ func estimateBlock(blk *query.Block, cfg *cost.Config, opts Options) (*BlockEsti
 	eopts.NaiveScan = opts.NaiveScan
 	eopts.Exec = opts.Exec
 	en := enum.New(blk, mem, card, eopts)
-	var st enum.Stats
-	var err error
-	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-		hooks, finish := cnt.parallelHooks()
-		st, err = en.RunParallel(hooks, workers)
-		finish()
-	} else {
-		st, err = en.Run(cnt.hooks())
-	}
+	st, err := en.Run(cnt.hooks())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"sync"
 	"testing"
+	"time"
 
 	"cote/internal/cost"
 	"cote/internal/enum"
+	"cote/internal/fingerprint"
 	"cote/internal/opt"
 	"cote/internal/props"
 )
@@ -69,6 +73,18 @@ func TestFingerprintCacheKnobDistinctness(t *testing.T) {
 			t.Fatalf("variant %d hit a previous knob set's entry", i)
 		}
 	}
+	// A differing namespace (the serving layer's catalog epoch) is one more
+	// variant: the zero-options structure must miss under it.
+	nsBlk := starBlock(t, 5, 2, 1, 0, 1)
+	key := KeyFor(fingerprint.Of(nsBlk), Options{})
+	key.Namespace = 1
+	if _, hit, shared, err := c.Do(context.Background(), key, func() (*Estimate, error) {
+		return EstimatePlans(nsBlk, Options{})
+	}); err != nil {
+		t.Fatal(err)
+	} else if hit || shared {
+		t.Fatal("namespace variant hit a previous namespace's entry")
+	}
 	// The zero options normalize to LevelHighInner2 serial: a repeat is the
 	// only hit.
 	blk := starBlock(t, 5, 2, 1, 0, 1)
@@ -123,5 +139,74 @@ func TestFingerprintCacheEviction(t *testing.T) {
 	}
 	if _, hit, _ := c.EstimatePlans(starBlock(t, 4, 1, 0, 0, 1), Options{}); !hit {
 		t.Fatal("refilled entry missed")
+	}
+}
+
+// TestSingleflightShared drives FingerprintCache.Do directly with a blocking
+// leader: concurrent callers of the same key must wait for the one
+// computation instead of running their own, and a caller abandoned by its
+// context must return promptly.
+func TestSingleflightShared(t *testing.T) {
+	c := NewFingerprintCache(4)
+	key := FPKey{Level: 3, Nodes: 1}
+	want := &Estimate{Joins: 42}
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var leaderErr error
+	var leaderEst *Estimate
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		leaderEst, _, _, leaderErr = c.Do(context.Background(), key, func() (*Estimate, error) {
+			close(started)
+			<-release
+			return want, nil
+		})
+	}()
+	<-started
+
+	// A waiter with a dead context abandons the flight without an estimate.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, shared, err := c.Do(cancelled, key, nil); !shared || err == nil {
+		t.Fatalf("cancelled waiter: shared=%v err=%v", shared, err)
+	}
+
+	waiters := 3
+	results := make(chan *Estimate, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			est, hit, shared, err := c.Do(context.Background(), key, func() (*Estimate, error) {
+				t.Error("waiter ran its own computation")
+				return nil, nil
+			})
+			if err != nil || hit || !shared {
+				t.Errorf("waiter: hit=%v shared=%v err=%v", hit, shared, err)
+			}
+			results <- est
+		}()
+	}
+	// Give the waiters a moment to park on the flight, then release it.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if leaderErr != nil || leaderEst != want {
+		t.Fatalf("leader: %v %p", leaderErr, leaderEst)
+	}
+	for i := 0; i < waiters; i++ {
+		if got := <-results; got != want {
+			t.Fatalf("waiter got %p, want %p", got, want)
+		}
+	}
+	if shared := c.Shared(); shared != uint64(waiters)+1 {
+		t.Fatalf("shared count %d, want %d", shared, waiters+1)
+	}
+	// The flight's result is cached for later callers.
+	if _, hit, _, _ := c.Do(context.Background(), key, nil); !hit {
+		t.Fatal("post-flight lookup missed")
 	}
 }

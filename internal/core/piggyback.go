@@ -6,7 +6,6 @@ import (
 
 	"cote/internal/cost"
 	"cote/internal/enum"
-	"cote/internal/knobs"
 	"cote/internal/memo"
 	"cote/internal/opt"
 	"cote/internal/props"
@@ -70,42 +69,21 @@ func EstimateLevels(blk *query.Block, top opt.Level, levels []opt.Level, opts Op
 		eopts.Cartesian = opts.CartesianPolicy
 		eopts.Exec = opts.Exec
 		en := enum.New(b, mem, card, eopts)
-		if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-			// One parallel pass serves every level: each worker forks one
-			// counting lane per level, gated by that level's search-space
-			// filter; the top counter only propagates (its counts are never
-			// read), on the driver in canonical order.
-			lanes := make([]countLane, len(levels))
-			for i, l := range levels {
-				lvl := l
-				lanes[i] = countLane{
-					cnt:   counters[lvl],
-					admit: func(outer, inner *memo.Entry) bool { return levelAdmits(lvl, outer, inner) },
-				}
-			}
-			phooks, finish := parallelCountHooks(topCnt, lanes)
-			_, err := en.RunParallel(phooks, workers)
-			finish()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			hooks := enum.Hooks{
-				Init: topCnt.initialize,
-				Join: func(outer, inner, result *memo.Entry) {
-					for _, l := range levels {
-						if levelAdmits(l, outer, inner) {
-							// Count without re-propagating: share the lists
-							// built by the top counter.
-							counters[l].countOnly(outer, inner, result)
-						}
+		hooks := enum.Hooks{
+			Init: topCnt.initialize,
+			Join: func(outer, inner, result *memo.Entry) {
+				for _, l := range levels {
+					if levelAdmits(l, outer, inner) {
+						// Count without re-propagating: share the lists
+						// built by the top counter.
+						counters[l].countOnly(outer, inner, result)
 					}
-					topCnt.accumulatePlans(outer, inner, result)
-				},
-			}
-			if _, err := en.Run(hooks); err != nil {
-				return nil, err
-			}
+				}
+				topCnt.accumulatePlans(outer, inner, result)
+			},
+		}
+		if _, err := en.Run(hooks); err != nil {
+			return nil, err
 		}
 		for _, l := range levels {
 			c := out.Counts[l]

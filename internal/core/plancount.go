@@ -106,14 +106,7 @@ type counter struct {
 	// joins counts the enumerated joins this counter accumulated.
 	joins int
 	// vecs holds compound property vectors per entry (CompoundLists only).
-	// Forked worker counters share this map: within size class k workers only
-	// read vectors of size<k entries, and only the driver's canonical-order
-	// commits write the size-k vectors.
 	vecs map[bitset.Set][]propVec
-	// extraScratch accumulates the scratch high-water of forked worker
-	// counters, merged in by the parallel pass's finish hook so the run
-	// accountant's working-memory charge still covers them.
-	extraScratch int64
 
 	// Scratch for the per-join hot path. accumulate_plans runs once per
 	// enumerated join — the paper's Table 3 inner loop — so everything it
@@ -214,11 +207,9 @@ func (c *counter) accumulatePlans(outer, inner, result *memo.Entry) {
 	c.countWithCols(outer, inner, result, outerCols, innerCols, candParts)
 }
 
-// propagateWithCols is the property-propagation half of accumulate_plans,
-// split out so the parallel counting pass can replay it on the driver in
-// canonical commit order while the counting half ran on workers. It writes
-// only the result entry's (size-k) lists and the compound-vector map, never
-// the inputs'.
+// propagateWithCols is the property-propagation half of accumulate_plans.
+// It writes only the result entry's lists and the compound-vector map,
+// never the inputs'.
 func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols []query.ColID, candParts []props.Partition) {
 	if result.PropsPropagated && !c.everyJoin {
 		return
@@ -326,8 +317,7 @@ var serialParts = []props.Partition{{}}
 // the interesting-partition lists: input partitions covered by the join
 // columns, or a repartition on the join columns when none qualifies (the
 // heuristic of Section 4). Serial estimation uses the single don't-care
-// partition. The result is counter scratch, valid until the next call: the
-// parallel pass's driver recomputes it before it propagates.
+// partition. The result is counter scratch, valid until the next call.
 func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, innerCols []query.ColID) []props.Partition {
 	if !c.parallel {
 		return serialParts
@@ -433,7 +423,7 @@ var (
 // property lists themselves are durable MEMO content and charged separately.
 func (c *counter) scratchBytes() int64 {
 	cols := cap(c.ocBuf) + cap(c.icBuf) + cap(c.jcBuf)
-	return int64(cols)*counterColIDBytes + int64(cap(c.outsBuf))*counterOrderBytes + c.extraScratch
+	return int64(cols)*counterColIDBytes + int64(cap(c.outsBuf))*counterOrderBytes
 }
 
 // propertyBytes reports the memory footprint of the maintained property

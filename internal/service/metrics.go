@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cote/internal/calib"
+	"cote/internal/core"
 	"cote/internal/optctx"
 	"cote/internal/resource"
 )
@@ -233,7 +234,7 @@ func (m *Metrics) ObserveStages(oc *optctx.Ctx) {
 // encoding/json the snapshot is byte-deterministic for fixed counter values:
 // every level is a map (marshaled in sorted key order) or a struct with a
 // fixed field order. The metrics golden test pins this.
-func (m *Metrics) Snapshot(pool *Pool, cache *EstimateCache, cal *calib.Calibrator, shed *Shedder) map[string]any {
+func (m *Metrics) Snapshot(pool *Pool, cache *core.FingerprintCache, cal *calib.Calibrator, shed *Shedder) map[string]any {
 	waiting, running := pool.Depth()
 	_, _, size, capacity := cache.Stats()
 	cs := cal.Stats()

@@ -11,6 +11,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -31,9 +32,10 @@ type RegistryEntry struct {
 	BuiltIn bool
 	// Epoch is the cache-invalidation generation of this entry: 0 for
 	// built-ins and first registrations, a fresh process-unique value for
-	// every re-upload of an existing name. It is part of EstimateKey, so
-	// estimates cached against a catalog's old statistics die with its old
-	// epoch while first registrations with identical schemas keep sharing.
+	// every re-upload of an existing name. It namespaces the estimate-cache
+	// key, so estimates cached against a catalog's old statistics die with
+	// its old epoch while first registrations with identical schemas keep
+	// sharing.
 	Epoch uint64
 }
 
@@ -157,6 +159,9 @@ func (r *Registry) Register(def CatalogDef) (entry *RegistryEntry, err error) {
 	if len(def.Tables) == 0 {
 		return nil, fmt.Errorf("service: catalog %q has no tables", def.Name)
 	}
+	if err := validateStats(def); err != nil {
+		return nil, err
+	}
 	// The catalog builder treats malformed schemas as programming errors
 	// and panics; uploads are untrusted input, so convert panics to errors.
 	defer func() {
@@ -213,4 +218,25 @@ func (r *Registry) Register(def CatalogDef) (entry *RegistryEntry, err error) {
 	}
 	r.entries[def.Name] = entry
 	return entry, nil
+}
+
+// validateStats rejects statistics the cardinality model cannot use. The
+// catalog builder would silently raise a row count or NDV below one to one,
+// and that quietly changes the estimate (a table raised to one row trips the
+// card-one Cartesian rule), so an upload must state finite values of at
+// least one. An NDV above the row count is still lowered to it by the
+// builder, as for the built-in catalogs.
+func validateStats(def CatalogDef) error {
+	valid := func(v float64) bool { return v >= 1 && !math.IsInf(v, 0) }
+	for _, t := range def.Tables {
+		if !valid(t.Rows) {
+			return fmt.Errorf("service: catalog %q table %q: rows %v is not a finite number >= 1", def.Name, t.Name, t.Rows)
+		}
+		for _, c := range t.Columns {
+			if !valid(c.NDV) {
+				return fmt.Errorf("service: catalog %q table %q column %q: ndv %v is not a finite number >= 1", def.Name, t.Name, c.Name, c.NDV)
+			}
+		}
+	}
+	return nil
 }

@@ -36,7 +36,8 @@ type Config struct {
 	// RequestTimeout bounds one estimate/optimize request, queueing
 	// included (default 30s; negative disables).
 	RequestTimeout time.Duration
-	// CacheCapacity sizes the estimate cache (default 1024).
+	// CacheCapacity sizes the estimate cache (default
+	// core.DefaultFingerprintCacheSize).
 	CacheCapacity int
 	// Budget is the admission controller's compilation-time budget for
 	// POST /v1/optimize: requests whose predicted compilation time exceeds
@@ -102,7 +103,7 @@ type Server struct {
 	registry *Registry
 	pool     *Pool
 	shed     *Shedder
-	cache    *EstimateCache
+	cache    *core.FingerprintCache
 	metrics  *Metrics
 	progress *progressTable
 
@@ -131,9 +132,6 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 1024
-	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = cfg.Queue
 	}
@@ -147,7 +145,7 @@ func New(cfg Config) *Server {
 		registry: NewRegistry(),
 		pool:     pool,
 		shed:     newShedder(pool, cfg.MaxQueue, cfg.ShedDeadline),
-		cache:    NewEstimateCache(cfg.CacheCapacity),
+		cache:    core.NewFingerprintCache(cfg.CacheCapacity),
 		metrics:  NewMetrics(),
 		progress: newProgressTable(),
 		models:   models,
@@ -281,18 +279,19 @@ func (s *Server) parseRequest(catalogName, levelName, sql string) (*RegistryEntr
 // Every mode estimates the canonical rebuild of blk, so responses never
 // depend on whether caching was on (raw-block enumeration counts are
 // numbering-sensitive; see internal/fingerprint). Cached estimates carry no
-// time prediction (see EstimateCache); callers price them with the current
-// model.
+// time prediction; callers price them with the current model.
+//
+// The cache key is the fingerprint, the level and the catalog's node count,
+// namespaced by the catalog epoch: re-registering a name bumps its epoch, so
+// estimates cached against the old statistics are never served again, while
+// built-ins and first registrations (epoch 0) with identical schemas share
+// entries. The serving path leaves the other core.Options knobs at their
+// defaults.
 //
 // The returned cached flag reports that this request ran no enumeration of
 // its own — an LRU hit or a wait on another request's in-flight run.
-func (s *Server) estimateFor(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level, useCache bool, parallelism int) (*core.Estimate, bool, error) {
-	// The parallel counting pass is bit-identical to serial, so the degree
-	// stays out of the cache key: it only decides how fast a miss enumerates.
-	par := knobs.Parallelism(parallelism)
-	if par > s.cfg.MaxParallelism {
-		par = s.cfg.MaxParallelism
-	}
+func (s *Server) estimateFor(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level, useCache bool) (*core.Estimate, bool, error) {
+	opts := core.Options{Level: level, Config: entry.Config}
 	// Hash up front (cheap, needed for the key); rebuild the canonical block
 	// only inside run, which executes solely when an enumeration is due.
 	fp := fingerprint.Of(blk)
@@ -302,7 +301,7 @@ func (s *Server) estimateFor(ctx context.Context, entry *RegistryEntry, blk *que
 			if err != nil {
 				return nil, err
 			}
-			return core.EstimatePlansCtx(ctx, canon, core.Options{Level: level, Config: entry.Config, Parallelism: par})
+			return core.EstimatePlansCtx(ctx, canon, opts)
 		})
 		if err == nil {
 			// The enumerate stage moves only when an enumeration really ran:
@@ -318,7 +317,8 @@ func (s *Server) estimateFor(ctx context.Context, entry *RegistryEntry, blk *que
 		est, err := run()
 		return est, false, err
 	}
-	key := EstimateKey{Epoch: entry.Epoch, FP: fp, Level: level, Nodes: entry.Config.Nodes}
+	key := core.KeyFor(fp, opts)
+	key.Namespace = entry.Epoch
 	est, hit, shared, err := s.cache.Do(ctx, key, run)
 	if err != nil {
 		return nil, false, err
@@ -359,11 +359,6 @@ type EstimateRequest struct {
 	SQL     string `json:"sql"`
 	Level   string `json:"level,omitempty"`
 	NoCache bool   `json:"no_cache,omitempty"`
-	// Parallelism fans the counting pass of an uncached estimate out to this
-	// many workers, clamped to [1, Config.MaxParallelism]. Zero means serial.
-	// The estimate is bit-identical at every degree, so the knob never
-	// changes the response — only how fast a cache miss computes it.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // EstimateResponse is the reply: the estimate plus cache provenance. The
@@ -400,7 +395,7 @@ func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateRe
 	}
 	ctx, cancel := s.requestCtx(ctx)
 	defer cancel()
-	est, cached, err := s.estimateFor(ctx, entry, blk, level, !req.NoCache, req.Parallelism)
+	est, cached, err := s.estimateFor(ctx, entry, blk, level, !req.NoCache)
 	if err != nil {
 		return nil, err
 	}
@@ -434,9 +429,6 @@ type EstimateBatchRequest struct {
 	Statements []string `json:"statements"`
 	Level      string   `json:"level,omitempty"`
 	NoCache    bool     `json:"no_cache,omitempty"`
-	// Parallelism applies the single-estimate knob to every distinct group
-	// the batch enumerates (clamped to [1, Config.MaxParallelism]).
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // BatchItem is the per-statement outcome, in submission order.
@@ -553,7 +545,7 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 	}
 	for _, fp := range order {
 		g := groups[fp]
-		est, cached, err := s.estimateFor(ctx, entry, g.blk, level, !req.NoCache, req.Parallelism)
+		est, cached, err := s.estimateFor(ctx, entry, g.blk, level, !req.NoCache)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err // the whole batch is dead, not one group
@@ -681,14 +673,14 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 		if m == nil {
 			return 0, false, nil
 		}
-		est, _, err := s.estimateFor(ctx, entry, blk, l, true, req.Parallelism)
+		est, _, err := s.estimateFor(ctx, entry, blk, l, true)
 		if err != nil {
 			return 0, false, err
 		}
 		return m.Predict(est.Counts), true, nil
 	}
 	predictMem := func(l opt.Level) (int64, error) {
-		est, _, err := s.estimateFor(ctx, entry, blk, l, true, req.Parallelism)
+		est, _, err := s.estimateFor(ctx, entry, blk, l, true)
 		if err != nil {
 			return 0, err
 		}
@@ -733,7 +725,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 			// The greedy floor runs unbudgeted, like admission: it is the
 			// level every downgrade must be able to land on.
 			oc.SetMemBudget(memBudget)
-			if plans, t, ok := s.predictLevel(ctx, entry, blk, admitted, req.Parallelism); ok {
+			if plans, t, ok := s.predictLevel(ctx, entry, blk, admitted); ok {
 				predictedTime = t
 				oc.SetPredictedPlans(plans)
 				if s.cfg.BudgetFactor > 0 {
@@ -764,7 +756,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 			obs := core.ObservationFrom(
 				res.TotalCounters(), admitted, fingerprint.Of(blk), predictedTime, res.Elapsed)
 			obs.PeakBytes = res.Resources.DurablePeakBytes
-			if est, _, err := s.estimateFor(ctx, entry, blk, admitted, true, req.Parallelism); err == nil {
+			if est, _, err := s.estimateFor(ctx, entry, blk, admitted, true); err == nil {
 				for _, be := range est.Blocks {
 					obs.Entries += be.Entries
 					obs.PropertyBytes += be.PropertyBytes
@@ -795,12 +787,12 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 // baseline, and the prediction the calibration loop scores against the
 // measured time. It reports false when no model is calibrated (no basis
 // for bounding) or the estimate itself fails (the compile must still run).
-func (s *Server) predictLevel(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level, parallelism int) (int64, time.Duration, bool) {
+func (s *Server) predictLevel(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level) (int64, time.Duration, bool) {
 	m := s.Model()
 	if m == nil {
 		return 0, 0, false
 	}
-	est, _, err := s.estimateFor(ctx, entry, blk, level, true, parallelism)
+	est, _, err := s.estimateFor(ctx, entry, blk, level, true)
 	if err != nil {
 		return 0, 0, false
 	}
